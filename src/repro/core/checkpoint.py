@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from .numeric import Num
 from .bin import Bin
-from .resources import Resources, Size
+from .resources import Resources, Size, size_fits
 from .simulator import Simulator, _ActiveItem
 from .telemetry import SimulationObserver
 from .validation import CheckpointFormatError, CheckpointSchemaError
@@ -194,7 +194,8 @@ class StreamCheckpoint:
         ``algorithm`` must be a fresh instance of the checkpointed
         algorithm (matched by registry name); ``observers`` must be fresh
         instances positionally matching the checkpointed ones — their
-        state is restored via ``restore_state``.
+        state is restored via ``restore_state``.  A bin that restores empty
+        or over capacity raises :class:`~repro.core.validation.CheckpointFormatError`.
         """
         from ..algorithms.base import Arrival
 
@@ -240,7 +241,9 @@ class StreamCheckpoint:
                 arrival=entry["arrival"],
                 tag=entry["tag"],
             )
-            target.add(view, entry["arrival"])
+            # No per-item fit check: it would compare against a re-summed
+            # float level, which can differ from the saved one by an ulp.
+            target._contents[view.item_id] = view
             sim._active[entry["item_id"]] = _ActiveItem(view=view, bin=target)
             pending.append((entry["departure"], entry["seq"], entry["item_id"]))
         heapq.heapify(pending)
@@ -250,6 +253,11 @@ class StreamCheckpoint:
             # Exact level, not the re-added sum: float addition is
             # order-sensitive and fit decisions compare residuals exactly.
             target._level = state["level"]
+            if target.is_empty or not size_fits(target.level, target.capacity):
+                raise CheckpointFormatError(
+                    f"bin {target.index} restores with {target.num_items} items "
+                    f"at level {target.level}, capacity {target.capacity}"
+                )
             sim._bins.add(target)
         sim._now = self.now
         sim._auto_id = self.auto_id

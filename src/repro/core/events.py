@@ -1,21 +1,24 @@
-"""Event machinery for the discrete-event DBP simulator.
+"""The event order of the MinTotal DBP model and the one loop that runs it.
 
-A trace of items is turned into a totally ordered event sequence.  Ties at
-a single time instant are resolved **departures first, then arrivals**, with
-arrivals kept in trace order.  This matches the paper's adversarial
-constructions, where items departing at time ``t`` free capacity that
-same-instant arrivals may use, and the sequential "groups arrive one after
-another" orderings are expressed by trace order at equal times.
+Ties at one instant resolve **departures first, then arrivals**, with
+arrivals in trace order.  Items departing at ``t`` free capacity that
+same-instant arrivals may use, as the paper's adversarial constructions
+require, and their "groups arrive one after another" orderings are
+expressed by trace order at equal times.
 
-Two entry points share one merge core:
+:class:`EventLoop` is the only implementation of that order.  Before each
+stream arrival it drains every departure due by then from its heap;
+departures tied in time leave in trace order.  Every driver runs on it:
+:func:`~repro.core.simulator.simulate`,
+:func:`~repro.core.streaming.simulate_stream` (plain, checkpointed,
+resumed and repacking) and :func:`~repro.cloud.faults.simulate_faulty_stream`,
+whose failure clock and delayed re-admissions join as extra
+:class:`EventSource` streams.  At one instant the loop runs departures,
+then the extra sources in the order given, then the stream arrival.
 
-* :func:`iter_events` is a **lazy heap-merge generator**: it consumes any
-  item iterable whose arrivals are non-decreasing (generators included) and
-  yields events one at a time, holding only the departure heap of currently
-  active items in memory — O(active) space instead of O(trace).
-* :func:`compile_events` is the materializing compatibility wrapper: it
-  accepts items in any order, stable-sorts them by arrival and returns the
-  full event list, byte-identical to the historical eager implementation.
+:func:`iter_events` (lazy, O(active) memory, arrival-sorted input) and
+:func:`compile_events` (any order, stable-sorted, materialized) expose the
+same order as :class:`Event` records.
 """
 
 from __future__ import annotations
@@ -23,16 +26,24 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
 
 from .numeric import Num
-from .item import Item
+from .item import Item, check_fits
+from .resources import Size
 from .validation import TraceValidationError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from .checkpoint import StreamCheckpoint
+    from .simulator import Simulator
+    from .streaming import StreamRepacker
 
 __all__ = [
     "EventKind",
     "Event",
+    "EventLoop",
     "EventOrderError",
+    "EventSource",
     "iter_events",
     "compile_events",
     "event_times",
@@ -40,7 +51,7 @@ __all__ = [
 
 
 class EventOrderError(TraceValidationError):
-    """Raised by :func:`iter_events` when arrivals are not non-decreasing."""
+    """Raised when a streamed trace's arrivals are not non-decreasing."""
 
 
 class EventKind(enum.IntEnum):
@@ -64,35 +75,162 @@ class Event:
         return (self.time, int(self.kind), self.seq)
 
 
-def _merge_events(seq_items: Iterable[tuple[int, Item]]) -> Iterator[Event]:
-    """Heap-merge ``(seq, item)`` pairs (non-decreasing arrivals) into events.
+class EventSource(NamedTuple):
+    """An extra timed event stream merged into an :class:`EventLoop`.
 
-    Equivalent to sorting all 2n events by ``(time, kind, seq)``: before an
-    arrival at time ``t`` is emitted, every pending departure with time
-    ``<= t`` is drained from the heap in ``(time, seq)`` order.  Departures
-    always belong to already-consumed items because ``d(r) > a(r)`` and the
-    input is sorted by arrival, so the merge never has to look ahead.
+    ``next_time`` reports the instant of the source's next event (``None``
+    when it has none) and ``fire`` processes that event.  A source that
+    does not ``sustain`` the run (a failure clock) only fires while some
+    departure, sustaining source or stream arrival is still to come.
     """
-    pending: list[tuple[Num, int, Item]] = []  # (departure, seq, item)
-    last_arrival: Num | None = None
-    for seq, item in seq_items:
-        if last_arrival is not None and item.arrival < last_arrival:
+
+    next_time: Callable[[], Num | None]
+    fire: Callable[[], None]
+    sustains: bool = True
+
+
+class EventLoop:
+    """The departures-first event loop every simulation driver runs.
+
+    It owns the heap of pending ``(departure, seq, key)`` entries, the
+    count of stream items consumed, the count of events processed, the
+    last arrival time, and one hook chain run after each arrival and
+    departure: the ``repacker``, then a checkpoint to ``on_checkpoint``
+    every ``checkpoint_every`` events.  Stream items must fit ``limit``
+    when one is given.  :meth:`arrive` and :meth:`depart` drive ``sim``;
+    subclasses override them to keep extra books or to record events.
+    """
+
+    def __init__(
+        self,
+        sim: "Simulator | None" = None,
+        *,
+        limit: Size | None = None,
+        repacker: "StreamRepacker | None" = None,
+        checkpoint_every: int | None = None,
+        on_checkpoint: "Callable[[StreamCheckpoint], None] | None" = None,
+        sources: tuple[EventSource, ...] = (),
+    ) -> None:
+        self.sim = sim
+        self.limit = limit
+        self.repacker = repacker
+        self.checkpoint_every = checkpoint_every
+        self.on_checkpoint = on_checkpoint
+        self.sources = sources
+        # The merge state; a resumed run restores it from its checkpoint.
+        self.pending: list[tuple[Num, int, Any]] = []
+        self.consumed = 0
+        self.events = 0
+        self.last_arrival: Num | None = None
+
+    def run(self, arrivals: Iterable[tuple[int, Any]]) -> None:
+        """Push every stream arrival, then drain what is left."""
+        for seq, item in arrivals:
+            self.push(seq, item)
+        self.drain(None)
+
+    def push(self, seq: int, item: Any) -> None:
+        """Take one stream arrival: validate it, drain up to it, place it."""
+        if self.limit is not None:
+            check_fits(item, self.limit)
+        if self.last_arrival is not None and item.arrival < self.last_arrival:
             raise EventOrderError(
                 f"item {item.item_id!r} arrives at {item.arrival}, before the "
-                f"previous arrival at {last_arrival}; iter_events requires "
-                "non-decreasing arrival times — sort the trace or use "
-                "compile_events()",
+                f"previous arrival at {self.last_arrival}; streamed items must "
+                "have non-decreasing arrival times — sort the trace or pass a "
+                "sequence to simulate()/compile_events()",
                 item_id=item.item_id,
             )
-        last_arrival = item.arrival
-        while pending and pending[0][0] <= item.arrival:
-            time, dep_seq, departed = heapq.heappop(pending)
-            yield Event(time=time, kind=EventKind.DEPARTURE, item=departed, seq=dep_seq)
-        yield Event(time=item.arrival, kind=EventKind.ARRIVAL, item=item, seq=seq)
-        heapq.heappush(pending, (item.departure, seq, item))
-    while pending:
-        time, dep_seq, departed = heapq.heappop(pending)
-        yield Event(time=time, kind=EventKind.DEPARTURE, item=departed, seq=dep_seq)
+        self.last_arrival = item.arrival
+        self.drain(item.arrival)
+        self.consumed += 1
+        self.arrive(seq, item)
+
+    def drain(self, until: Num | None) -> None:
+        """Process every event due at or before ``until`` (``None``: all)."""
+        pending = self.pending
+        if not self.sources:
+            while pending and (until is None or pending[0][0] <= until):
+                self.depart(*heapq.heappop(pending))
+            return
+        while True:
+            when: Num | None = pending[0][0] if pending else None
+            fire: Callable[[], None] | None = None
+            sustained = when is not None
+            for source in self.sources:
+                time = source.next_time()
+                if time is not None:
+                    sustained = sustained or source.sustains
+                    if when is None or time < when:
+                        when, fire = time, source.fire
+            if when is None or (not sustained if until is None else when > until):
+                return
+            if fire is None:
+                self.depart(*heapq.heappop(pending))
+            else:
+                fire()
+
+    def cancel(self, keys: set[Any]) -> None:
+        """Drop the pending departures of items that left another way."""
+        self.pending[:] = [entry for entry in self.pending if entry[2] not in keys]
+        heapq.heapify(self.pending)
+
+    def arrive(self, seq: int, item: Any) -> None:
+        """Place ``item`` in the engine and schedule its departure."""
+        sim = self.sim
+        assert sim is not None
+        sim.arrive(item.arrival, item.size, item_id=item.item_id, tag=item.tag)
+        heapq.heappush(self.pending, (item.departure, seq, item.item_id))
+        if self.repacker is not None:
+            self.repacker.after_arrival(sim, item)
+        self._after_event()
+
+    def depart(self, time: Num, seq: int, key: Any) -> None:
+        """Remove the departing item ``key`` from the engine."""
+        sim = self.sim
+        assert sim is not None
+        sim.depart(key, time)
+        if self.repacker is not None:
+            self.repacker.after_departure(sim, key)
+        self._after_event()
+
+    def _after_event(self) -> None:
+        self.events += 1
+        if self.checkpoint_every is not None and self.events % self.checkpoint_every == 0:
+            from .checkpoint import StreamCheckpoint
+
+            assert self.on_checkpoint is not None and self.sim is not None
+            state = None if self.repacker is None else self.repacker.checkpoint_state()
+            self.on_checkpoint(
+                StreamCheckpoint.capture(
+                    self.sim, self.pending, self.consumed, self.events, self.last_arrival, state
+                )
+            )
+
+
+class _EventRecorder(EventLoop):
+    """The loop with the engine replaced by a buffer of :class:`Event` records."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ready: list[Event] = []
+
+    def arrive(self, seq: int, item: Item) -> None:
+        heapq.heappush(self.pending, (item.departure, seq, item))
+        self.ready.append(Event(time=item.arrival, kind=EventKind.ARRIVAL, item=item, seq=seq))
+
+    def depart(self, time: Num, seq: int, key: Item) -> None:
+        self.ready.append(Event(time=time, kind=EventKind.DEPARTURE, item=key, seq=seq))
+
+
+def _recorded_events(arrivals: Iterable[tuple[int, Item]]) -> Iterator[Event]:
+    recorder = _EventRecorder()
+    for seq, item in arrivals:
+        recorder.push(seq, item)
+        yield from recorder.ready
+        recorder.ready.clear()
+    recorder.drain(None)
+    yield from recorder.ready
 
 
 def iter_events(items: Iterable[Item]) -> Iterator[Event]:
@@ -105,7 +243,7 @@ def iter_events(items: Iterable[Item]) -> Iterator[Event]:
     :class:`EventOrderError` on an out-of-order arrival; unsorted traces
     must go through :func:`compile_events` instead.
     """
-    return _merge_events(enumerate(items))
+    return _recorded_events(enumerate(items))
 
 
 def compile_events(items: Iterable[Item]) -> list[Event]:
@@ -122,7 +260,7 @@ def compile_events(items: Iterable[Item]) -> list[Event]:
     that can guarantee sorted arrivals should prefer :func:`iter_events`.
     """
     ordered = sorted(enumerate(items), key=lambda pair: pair[1].arrival)
-    return list(_merge_events(ordered))
+    return list(_recorded_events(ordered))
 
 
 def event_times(items: Iterable[Item]) -> list[Num]:

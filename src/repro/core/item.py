@@ -36,7 +36,7 @@ from .validation import (
     TraceValidationError,
 )
 
-__all__ = ["Item", "make_items", "validate_items"]
+__all__ = ["Item", "check_fits", "make_items", "validate_items"]
 
 _id_counter = itertools.count()
 
@@ -177,17 +177,28 @@ def validate_items(
                 trace_dims, item_dims, item_id=item.item_id
             )
         if capacity is not None:
-            try:
-                fits = size_fits(item.size, capacity)
-            except TypeError:
-                raise ResourceDimensionError(
-                    dims_of(capacity), item_dims, item_id=item.item_id
-                ) from None
-            if not fits:
-                raise OversizedItemError(
-                    item.size,
-                    capacity,
-                    item_id=item.item_id,
-                    dimension=oversize_dimension(item.size, capacity),
-                )
+            check_fits(item, capacity)
     return out
+
+
+def check_fits(item: Item, capacity: Size) -> None:
+    """The boundary check every driver applies to each incoming item.
+
+    Raises :class:`~repro.core.validation.OversizedItemError` if the item
+    cannot fit an empty bin of ``capacity``, and
+    :class:`~repro.core.validation.ResourceDimensionError` if a scalar item
+    meets a vector capacity.
+    """
+    try:
+        fits = size_fits(item.size, capacity)
+    except TypeError:
+        raise ResourceDimensionError(
+            dims_of(capacity), dims_of(item.size), item_id=item.item_id
+        ) from None
+    if not fits:
+        raise OversizedItemError(
+            item.size,
+            capacity,
+            item_id=item.item_id,
+            dimension=oversize_dimension(item.size, capacity),
+        )

@@ -1,16 +1,16 @@
 """The discrete-event MinTotal DBP simulator.
 
-Two driving styles share one engine:
+:class:`Simulator` is the incremental engine.  *Adaptive adversaries* drive
+it step by step: they submit arrivals, observe the resulting bin states,
+and only then decide departure times.  The paper's lower-bound
+constructions (Theorems 1 and 2) are adaptive in exactly this sense.
 
-* :func:`simulate` replays a complete item list (a trace) against an
-  algorithm — the common case for workloads and experiments.  Generator
-  inputs with sorted arrivals are streamed through the lazy event merge
-  (:func:`repro.core.events.iter_events`) without materializing the trace.
-* :class:`Simulator` is the incremental engine itself, which *adaptive
-  adversaries* drive step by step: they submit arrivals, observe the
-  resulting bin states, and only then decide departure times.  The paper's
-  lower-bound constructions (Theorems 1 and 2) are adaptive in exactly this
-  sense.
+:func:`simulate` replays a complete item list through the same
+departures-first :class:`~repro.core.events.EventLoop` as the streaming
+drivers, but keeps ``record=True`` history for the full
+:class:`~repro.core.result.PackingResult`.  Sequence inputs are
+stable-sorted by arrival; generator inputs with sorted arrivals are
+streamed through the loop without materializing the trace.
 
 The engine is exact: bin costs are accumulated per usage period with no time
 discretisation, simultaneous events are ordered departures-first (see
@@ -37,7 +37,7 @@ from .numeric import Num
 from ..algorithms.base import OPEN_NEW, Arrival, PackingAlgorithm
 from .bin import Bin
 from .bin_index import OpenBinIndex, OpenBinView
-from .events import EventKind, _merge_events, iter_events
+from .events import EventLoop
 from .item import Item, validate_items
 from .resources import (
     Resources,
@@ -45,15 +45,10 @@ from .resources import (
     dims_of,
     is_valid_capacity,
     is_valid_size,
-    oversize_dimension,
     size_fits,
 )
 from .result import BinRecord, PackingResult
-from .validation import (
-    InvalidItemSizeError,
-    OversizedItemError,
-    ResourceDimensionError,
-)
+from .validation import InvalidItemSizeError, ResourceDimensionError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .streaming import StreamRepacker, StreamSummary
@@ -245,50 +240,16 @@ class Simulator:
             choice = self.algorithm.choose_bin(view, self._open_view)
         if choice is OPEN_NEW or choice is None:
             new_capacity = self.algorithm.new_bin_capacity(view)
-            if new_capacity is None:
-                new_capacity = self.capacity
-            if isinstance(size, Resources) and not isinstance(
-                new_capacity, Resources
-            ):
-                # Scalar-capacity broadcast: capacity W means W per dimension.
-                new_capacity = Resources.uniform(new_capacity, size.dims)
-            if not size_fits(size, new_capacity):
-                raise SimulationError(
-                    f"item {item_id!r} of size {size} cannot fit the new bin of "
-                    f"capacity {new_capacity} the algorithm requested"
-                )
-            target = Bin(
-                index=self._bins_opened,
-                capacity=new_capacity,
-                record_log=self._record,
+            target = self._open_bin(
+                view, self.capacity if new_capacity is None else new_capacity, time
             )
             opened = True
         else:
             target = choice
             opened = False
             if self.strict:
-                if not isinstance(target, Bin) or not target.is_open or target not in self._bins:
-                    raise SimulationError(
-                        f"algorithm {self.algorithm.name!r} returned an invalid bin for "
-                        f"{item_id!r}: {choice!r}"
-                    )
-                if not target.fits(view):
-                    raise SimulationError(
-                        f"algorithm {self.algorithm.name!r} chose bin {target.index} "
-                        f"(residual {target.residual}) for item of size {size}"
-                    )
-        target.add(view, time)
-        if opened:
-            self._bins_opened += 1
-            if self._record:
-                self._all_bins.append(target)
-            # The hook runs before indexing so the label it assigns decides
-            # the bin's pool (MFF/MBF segregate large/small bins this way).
-            self.algorithm.on_bin_opened(target, view)
-            self._bins.add(target)
-            if len(self._bins) > self._peak_open:
-                self._peak_open = len(self._bins)
-        else:
+                self._check_target(target, view, migrating=False)
+            target.add(view, time)
             self._bins.update(target)
         self._items_arrived += 1
         self._active[item_id] = _ActiveItem(view=view, bin=target)
@@ -312,23 +273,13 @@ class Simulator:
             )
         target.remove(item_id, time)
         if target.is_closed:
-            self._bins.discard(target)
-            self._closed_bin_time = self._closed_bin_time + target.usage_length
+            self._release(target)
         else:
             self._bins.update(target)
         self.algorithm.on_item_departed(item_id, target)
         for observer in self.observers:
             observer.on_departure(time, item_id, target, target.is_closed)
-        if self._record:
-            self._finalized.append(
-                Item(
-                    arrival=view.arrival,
-                    departure=time,
-                    size=view.size,
-                    item_id=item_id,
-                    tag=view.tag,
-                )
-            )
+        self._finalize(view, time)
         return target
 
     def migrate(
@@ -371,53 +322,25 @@ class Simulator:
                 f"cannot migrate unknown/inactive item {item_id!r}"
             ) from None
         view, source = record.view, record.bin
-        if to_bin is OPEN_NEW or to_bin is None:
-            new_capacity = self.capacity
-            if isinstance(view.size, Resources) and not isinstance(
-                new_capacity, Resources
-            ):
-                new_capacity = Resources.uniform(new_capacity, view.size.dims)
-            target = Bin(
-                index=self._bins_opened,
-                capacity=new_capacity,
-                record_log=self._record,
-            )
-            opened = True
-        else:
-            target = to_bin
-            opened = False
-            if target is source:
+        opened = to_bin is OPEN_NEW or to_bin is None
+        if not opened:
+            if to_bin is source:
                 raise SimulationError(
                     f"item {item_id!r} is already in bin {source.index}"
                 )
             if self.strict:
-                if not isinstance(target, Bin) or not target.is_open or target not in self._bins:
-                    raise SimulationError(
-                        f"cannot migrate {item_id!r} into {to_bin!r}: not an "
-                        "open bin of this simulation"
-                    )
-                if not target.fits(view):
-                    raise SimulationError(
-                        f"bin {target.index} (residual {target.residual}) cannot "
-                        f"take migrated item {item_id!r} of size {view.size}"
-                    )
+                self._check_target(to_bin, view, migrating=True)
         source.remove(item_id, when)
         from_closed = source.is_closed
         if from_closed:
-            self._bins.discard(source)
-            self._closed_bin_time = self._closed_bin_time + source.usage_length
+            self._release(source)
         else:
             self._bins.update(source)
-        target.add(view, when)
         if opened:
-            self._bins_opened += 1
-            if self._record:
-                self._all_bins.append(target)
-            self.algorithm.on_bin_opened(target, view)
-            self._bins.add(target)
-            if len(self._bins) > self._peak_open:
-                self._peak_open = len(self._bins)
+            target = self._open_bin(view, self.capacity, when)
         else:
+            target = to_bin
+            target.add(view, when)
             self._bins.update(target)
         record.bin = target
         if self._record:
@@ -451,29 +374,66 @@ class Simulator:
         evicted = cast("list[Arrival]", target.force_close(time))
         for view in evicted:
             del self._active[view.item_id]
-            if self._record:
-                if time <= view.arrival:
-                    raise SimulationError(
-                        f"bin {target.index} failed at {time}, not after item "
-                        f"{view.item_id!r} arrived at {view.arrival}; recorded "
-                        "simulations need strictly positive eviction intervals"
-                    )
-                self._finalized.append(
-                    Item(
-                        arrival=view.arrival,
-                        departure=time,
-                        size=view.size,
-                        item_id=view.item_id,
-                        tag=view.tag,
-                    )
+            if self._record and time <= view.arrival:
+                raise SimulationError(
+                    f"bin {target.index} failed at {time}, not after item "
+                    f"{view.item_id!r} arrived at {view.arrival}; recorded "
+                    "simulations need strictly positive eviction intervals"
                 )
-        self._bins.discard(target)
-        self._closed_bin_time = self._closed_bin_time + target.usage_length
+            self._finalize(view, time)
+        self._release(target)
         for view in evicted:
             self.algorithm.on_item_departed(view.item_id, target)
         for observer in self.observers:
             observer.on_server_failure(time, target, evicted)
         return evicted
+
+    def _check_target(self, target: Any, view: Arrival, *, migrating: bool) -> None:
+        """Reject a chosen bin that is not open in this run or cannot take ``view``."""
+        if not isinstance(target, Bin) or not target.is_open or target not in self._bins:
+            problem = f"an invalid bin for {view.item_id!r}: {target!r}"
+        elif not target.fits(view):
+            problem = (
+                f"bin {target.index} (residual {target.residual}) for item "
+                f"{view.item_id!r} of size {view.size}"
+            )
+        else:
+            return
+        chooser = "migration" if migrating else f"algorithm {self.algorithm.name!r}"
+        raise SimulationError(f"{chooser} chose {problem}")
+
+    def _open_bin(self, view: Arrival, capacity: Size, time: Num) -> Bin:
+        """Open a bin of ``capacity`` holding ``view`` and index it."""
+        if isinstance(view.size, Resources) and not isinstance(capacity, Resources):
+            # Scalar-capacity broadcast: capacity W means W per dimension.
+            capacity = Resources.uniform(capacity, view.size.dims)
+        if not size_fits(view.size, capacity):
+            raise SimulationError(
+                f"item {view.item_id!r} of size {view.size} cannot fit the new "
+                f"bin of capacity {capacity}"
+            )
+        target = Bin(index=self._bins_opened, capacity=capacity, record_log=self._record)
+        target.add(view, time)
+        self._bins_opened += 1
+        if self._record:
+            self._all_bins.append(target)
+        # The hook runs before indexing so the label it assigns decides
+        # the bin's pool (MFF/MBF segregate large/small bins this way).
+        self.algorithm.on_bin_opened(target, view)
+        self._bins.add(target)
+        if len(self._bins) > self._peak_open:
+            self._peak_open = len(self._bins)
+        return target
+
+    def _finalize(self, view: Arrival, time: Num) -> None:
+        """Keep an item that left at ``time`` for :meth:`finish`'s history."""
+        if self._record:
+            self._finalized.append(Item(view.arrival, time, view.size, view.item_id, view.tag))
+
+    def _release(self, target: Bin) -> None:
+        """Drop a closed bin from the index and bank its usage period."""
+        self._bins.discard(target)
+        self._closed_bin_time = self._closed_bin_time + target.usage_length
 
     # ----------------------------------------------------------------- finish
 
@@ -615,14 +575,12 @@ def simulate(
     2
     """
     cap_limit = capacity if max_bin_capacity is None else max_bin_capacity
-    if isinstance(items, _Iterator):
-        events = iter_events(_validated_stream(items, cap_limit))
-    else:
+    arrivals: Iterable[tuple[int, Item]] = enumerate(items)
+    if not isinstance(items, _Iterator):
+        # Stable sort by arrival keeping trace positions as departure
+        # tiebreakers: the order compile_events() produces.
         trace = validate_items(items, capacity=cap_limit)
-        # Stable sort by arrival keeping trace positions as tiebreakers:
-        # the lazy merge then reproduces compile_events() exactly without
-        # building the event list.
-        events = _merge_events(sorted(enumerate(trace), key=lambda p: p[1].arrival))
+        arrivals = sorted(enumerate(trace), key=lambda p: p[1].arrival)
     sim = Simulator(
         algorithm,
         capacity=capacity,
@@ -633,44 +591,9 @@ def simulate(
     )
     if repacker is not None:
         repacker.reset()
-    for event in events:
-        if event.kind is EventKind.ARRIVAL:
-            sim.arrive(
-                event.item.arrival,
-                event.item.size,
-                item_id=event.item.item_id,
-                tag=event.item.tag,
-            )
-            if repacker is not None:
-                repacker.after_arrival(sim, event.item)
-        else:
-            sim.depart(event.item.item_id, event.item.departure)
-            if repacker is not None:
-                repacker.after_departure(sim, event.item.item_id)
+    EventLoop(sim, limit=cap_limit, repacker=repacker).run(arrivals)
     result = sim.finish()
     if check:
         result.check_invariants()
     return result
 
-
-def _validated_stream(
-    items: Iterable[Item], capacity: Size | None
-) -> Iterable[Item]:
-    """Per-item validation for streamed traces (duplicate ids are caught by
-    the simulator against active/assigned items)."""
-    for item in items:
-        if capacity is not None:
-            try:
-                fits = size_fits(item.size, capacity)
-            except TypeError:
-                raise ResourceDimensionError(
-                    dims_of(capacity), item.dims, item_id=item.item_id
-                ) from None
-            if not fits:
-                raise OversizedItemError(
-                    item.size,
-                    capacity,
-                    item_id=item.item_id,
-                    dimension=oversize_dimension(item.size, capacity),
-                )
-        yield item
