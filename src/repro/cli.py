@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="migration-bounded dispatch: every arriving session of size s "
         "grants BETA*s of moved-size budget to a consolidating repacker "
         "(0 keeps the run byte-identical to no-migration); switches to "
-        "streamed dispatch",
+        "streamed dispatch; not combinable with the observe flags",
     )
     disp_p.add_argument(
         "--trace-out",
@@ -290,6 +290,15 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
             )
             return 2
         return _dispatch_compare(args, algorithms)
+    if observed and migrating:
+        # The observed path has no repacker, and the lifecycle trace has no
+        # migration records: running it would silently drop the budget.
+        print(
+            "dispatch: --migration-factor cannot be combined with "
+            "--trace-out/--metrics/--profile/--serve-metrics",
+            file=sys.stderr,
+        )
+        return 2
     trace = _load_trace(args.trace)
     algo = get_algorithm(algorithms[0])
     server = ServerType(

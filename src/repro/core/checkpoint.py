@@ -25,13 +25,29 @@ JSON-representable — ``float``/``int`` times and sizes, JSON-able bin
 labels and item tags.  Algorithms restore via
 :meth:`~repro.algorithms.base.PackingAlgorithm.restore_state`; the stock
 family (FF/BF/MFF/MBF, Next Fit) is exact.
+
+Wire format (schema 3).  :meth:`StreamCheckpoint.to_json` writes the open
+bins and the active items *column-wise*: ``bins`` and ``active`` are each
+one JSON object with one list per field, in capture order
+(``{"index": [...], "capacity": [...], ...}``), so a field name is written
+once per snapshot instead of once per row.  A column whose values are all
+exactly ``float`` is packed as ``{"__f64__": "<base64>"}`` — the
+little-endian IEEE-754 doubles of the column, bit for bit (``-0.0``,
+``inf`` and every ulp survive by construction, and no ``float.__repr__``
+runs).  Every other column (ints, ``Fraction``, ``Resources``, strings,
+``None``, mixed types) stays a plain JSON list.  :meth:`~StreamCheckpoint.from_json`
+rebuilds the same tuples of per-row dicts, so the in-memory checkpoint is
+the same for either direction; a payload of any other schema version is
+refused with :class:`~repro.core.validation.CheckpointSchemaError`.
 """
 
 from __future__ import annotations
 
+import base64
 import heapq
 import json
-from dataclasses import asdict, dataclass
+import struct
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -64,8 +80,16 @@ CHECKPOINT_VERSION = 1
 #: :meth:`StreamCheckpoint.from_json` with a typed
 #: :class:`~repro.core.validation.CheckpointSchemaError` instead of
 #: mis-restoring.  Bumped to 2 when ``schema_version`` stamping and exact
-#: ``Fraction`` tagging were added.
-CHECKPOINT_SCHEMA_VERSION = 2
+#: ``Fraction`` tagging were added, and to 3 when ``bins``/``active``
+#: became column objects with ``__f64__``-packed float columns.
+CHECKPOINT_SCHEMA_VERSION = 3
+
+#: Row keys of the two per-row fields, in capture order; each is written
+#: as one column.
+_COLUMNS: dict[str, tuple[str, ...]] = {
+    "bins": ("index", "capacity", "label", "opened_at", "level"),
+    "active": ("item_id", "size", "arrival", "tag", "departure", "seq", "bin"),
+}
 
 
 class CheckpointError(RuntimeError):
@@ -277,13 +301,20 @@ class StreamCheckpoint:
         """Serialize to JSON (floats round-trip exactly).
 
         The payload is stamped with :data:`CHECKPOINT_SCHEMA_VERSION` so a
-        future layout change fails loudly on restore.  Vector
+        layout change fails loudly on restore.  ``bins`` and ``active`` are
+        written as column objects, one list per row key in capture order;
+        a column of exact-``float`` values is packed as
+        ``{"__f64__": "<base64 of little-endian doubles>"}``.  Vector
         sizes/capacities/levels are tagged as ``{"__resources__": [...]}``
         and exact rationals as ``{"__fraction__": [num, den]}`` so
         :meth:`from_json` restores :class:`~repro.core.resources.Resources`
         and :class:`~fractions.Fraction` values bit for bit.
         """
-        payload = asdict(self)
+        # A shallow field mapping: json.dumps only reads the values, so the
+        # rows need no deep copy.
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, columns in _COLUMNS.items():
+            payload[name] = _to_columns(payload[name], columns)
         payload["schema_version"] = CHECKPOINT_SCHEMA_VERSION
         return json.dumps(payload, sort_keys=True, default=_encode_json)
 
@@ -291,7 +322,8 @@ class StreamCheckpoint:
     def from_json(cls, text: str) -> "StreamCheckpoint":
         """Parse a :meth:`to_json` payload.
 
-        Malformed or truncated input raises a typed
+        Malformed or truncated input — including ragged, missing or extra
+        columns and undecodable ``__f64__`` columns — raises a typed
         :class:`~repro.core.validation.CheckpointFormatError`; a payload
         written under a different schema version raises
         :class:`~repro.core.validation.CheckpointSchemaError`.  Neither
@@ -299,8 +331,13 @@ class StreamCheckpoint:
         """
         try:
             payload = json.loads(text, object_hook=_decode_json)
+        except CheckpointFormatError:
+            raise
         except json.JSONDecodeError as exc:
             raise CheckpointFormatError(f"not valid JSON ({exc})") from exc
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            # A type tag whose content does not build its value.
+            raise CheckpointFormatError(f"malformed type tag ({exc})") from exc
         if not isinstance(payload, dict):
             raise CheckpointFormatError(
                 f"expected a JSON object, got {type(payload).__name__}"
@@ -311,14 +348,52 @@ class StreamCheckpoint:
                 expected=CHECKPOINT_SCHEMA_VERSION, got=schema
             )
         try:
-            payload["bins"] = tuple(payload["bins"])
-            payload["active"] = tuple(payload["active"])
+            for name, columns in _COLUMNS.items():
+                payload[name] = _from_columns(name, payload[name], columns)
             payload["observers"] = tuple(payload["observers"])
             return cls(**payload)
         except (KeyError, TypeError) as exc:
             raise CheckpointFormatError(
                 f"missing or malformed checkpoint fields ({exc})"
             ) from exc
+
+
+def _to_columns(
+    rows: Sequence[dict[str, Any]], columns: tuple[str, ...]
+) -> dict[str, Any]:
+    table: dict[str, Any] = {}
+    for key in columns:
+        values = [row[key] for row in rows]
+        if values and set(map(type, values)) == {float}:
+            packed = struct.pack(f"<{len(values)}d", *values)
+            table[key] = {"__f64__": base64.b64encode(packed).decode("ascii")}
+        else:
+            table[key] = values
+    return table
+
+
+def _from_columns(
+    name: str, table: Any, columns: tuple[str, ...]
+) -> tuple[dict[str, Any], ...]:
+    if not isinstance(table, dict):
+        raise CheckpointFormatError(
+            f"{name!r} must be a column object, got {type(table).__name__}"
+        )
+    if set(table) != set(columns):
+        missing = sorted(set(columns) - set(table))
+        extra = sorted(set(table) - set(columns))
+        raise CheckpointFormatError(
+            f"{name!r} columns: missing {missing}, unexpected {extra}"
+        )
+    values = [table[key] for key in columns]
+    if not all(isinstance(column, list) for column in values):
+        raise CheckpointFormatError(f"{name!r} columns must be lists")
+    lengths = {key: len(column) for key, column in zip(columns, values)}
+    if len(set(lengths.values())) != 1:
+        raise CheckpointFormatError(
+            f"{name!r} columns must be lists of one length, got {lengths}"
+        )
+    return tuple(dict(zip(columns, row)) for row in zip(*values))
 
 
 def _encode_json(obj: Any) -> Any:
@@ -330,9 +405,27 @@ def _encode_json(obj: Any) -> Any:
 
 
 def _decode_json(obj: dict[str, Any]) -> Any:
+    if len(obj) == 1 and "__f64__" in obj:
+        return _unpack_f64(obj["__f64__"])
     if len(obj) == 1 and "__resources__" in obj:
         return Resources(*obj["__resources__"])
     if len(obj) == 1 and "__fraction__" in obj:
         num, den = obj["__fraction__"]
         return Fraction(num, den)
     return obj
+
+
+def _unpack_f64(text: Any) -> list[float]:
+    if not isinstance(text, str):
+        raise CheckpointFormatError(
+            f"__f64__ column must be a base64 string, got {type(text).__name__}"
+        )
+    try:
+        packed = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise CheckpointFormatError(f"__f64__ column is not base64 ({exc})") from exc
+    if len(packed) % 8:
+        raise CheckpointFormatError(
+            f"__f64__ column holds {len(packed)} bytes, not a whole number of doubles"
+        )
+    return list(struct.unpack(f"<{len(packed) // 8}d", packed))

@@ -3,12 +3,15 @@ snapshot plus a fresh copy of the same source stream, must produce the exact
 same StreamSummary as the uninterrupted run — same floats, not just close.
 """
 
+import base64
 import json
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from repro import BestFit, FirstFit, NextFit, TelemetryCollector, make_items
+from repro import BestFit, FirstFit, NextFit, Resources, TelemetryCollector, make_items
 from repro.cloud import dispatch_stream
 from repro.core.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
@@ -232,3 +235,264 @@ class TestTypedPayloadErrors:
         )
         assert resumed == base
         assert isinstance(resumed.total_cost, Fraction)
+
+
+def _cells(checkpoint):
+    """Every bins/active cell as (field, row, key, type, repr): -0.0 != 0.0."""
+    return [
+        (field, n, key, type(value), repr(value))
+        for field in ("bins", "active")
+        for n, row in enumerate(getattr(checkpoint, field))
+        for key, value in row.items()
+    ]
+
+
+def _assert_exact_roundtrip(checkpoint):
+    back = StreamCheckpoint.from_json(checkpoint.to_json())
+    assert back == checkpoint
+    assert _cells(back) == _cells(checkpoint)
+    return back
+
+
+def _bin_row(index, level, label=None, opened_at=0.0, capacity=1.0):
+    return {
+        "index": index,
+        "capacity": capacity,
+        "label": label,
+        "opened_at": opened_at,
+        "level": level,
+    }
+
+
+def _item_row(item_id, bin, size=0.25, arrival=0.0, tag=None, departure=9.0, seq=0):
+    return {
+        "item_id": item_id,
+        "size": size,
+        "arrival": arrival,
+        "tag": tag,
+        "departure": departure,
+        "seq": seq,
+        "bin": bin,
+    }
+
+
+class TestColumnarPayload:
+    """Schema 3: ``bins``/``active`` travel as columns; float columns packed."""
+
+    def _checkpoint(self):
+        _, sink = _collect_checkpoints(FirstFit, n_items=120)
+        return sink[0]
+
+    def _payload(self):
+        return json.loads(self._checkpoint().to_json())
+
+    def _rejects(self, payload, match=None):
+        with pytest.raises(CheckpointFormatError, match=match) as excinfo:
+            StreamCheckpoint.from_json(json.dumps(payload))
+        assert type(excinfo.value) is CheckpointFormatError
+        return excinfo.value
+
+    def test_rows_travel_as_columns_with_packed_floats(self):
+        checkpoint = self._checkpoint()
+        payload = json.loads(checkpoint.to_json())
+        assert list(payload["bins"]) == sorted(checkpoint.bins[0])
+        assert list(payload["active"]) == sorted(checkpoint.active[0])
+        # Integer columns stay plain lists; exact-float columns are packed.
+        assert payload["bins"]["index"] == [b["index"] for b in checkpoint.bins]
+        packed = base64.b64decode(payload["active"]["departure"]["__f64__"])
+        assert len(packed) == 8 * len(checkpoint.active)
+
+    def test_to_json_is_byte_identical_across_calls(self):
+        checkpoint = self._checkpoint()
+        assert checkpoint.to_json() == checkpoint.to_json()
+        assert StreamCheckpoint.from_json(checkpoint.to_json()).to_json() == (
+            checkpoint.to_json()
+        )
+
+    def test_ragged_columns_are_format_errors(self):
+        payload = self._payload()
+        payload["bins"]["index"] = payload["bins"]["index"][:-1]
+        self._rejects(payload, match="one length")
+
+    def test_ragged_packed_column_is_format_error(self):
+        payload = self._payload()
+        column = base64.b64decode(payload["active"]["departure"]["__f64__"])
+        payload["active"]["departure"]["__f64__"] = base64.b64encode(
+            column[:-8]
+        ).decode("ascii")
+        self._rejects(payload, match="one length")
+
+    def test_missing_column_is_format_error(self):
+        payload = self._payload()
+        del payload["active"]["seq"]
+        self._rejects(payload, match="missing \\['seq'\\]")
+
+    def test_extra_column_is_format_error(self):
+        payload = self._payload()
+        payload["bins"]["colour"] = [None] * len(payload["bins"]["index"])
+        self._rejects(payload, match="unexpected \\['colour'\\]")
+
+    @pytest.mark.parametrize("field", ["bins", "active"])
+    @pytest.mark.parametrize(
+        # The last value is the schema-2 row layout under a schema-3 stamp.
+        "value", [[], [1, 2], "rows", None, 3, [{"index": 0, "level": 0.5}]]
+    )
+    def test_non_object_rows_field_is_format_error(self, field, value):
+        payload = self._payload()
+        payload[field] = value
+        self._rejects(payload, match="column object")
+
+    def test_f64_not_base64_is_format_error(self):
+        payload = self._payload()
+        payload["active"]["departure"]["__f64__"] = "not*base64!"
+        self._rejects(payload, match="not base64")
+
+    def test_f64_non_ascii_is_format_error(self):
+        payload = self._payload()
+        payload["active"]["departure"]["__f64__"] = "\u00e9\u00e9\u00e9\u00e9"
+        self._rejects(payload, match="not base64")
+
+    def test_f64_partial_double_is_format_error(self):
+        payload = self._payload()
+        payload["active"]["departure"]["__f64__"] = base64.b64encode(
+            bytes(12)
+        ).decode("ascii")
+        self._rejects(payload, match="whole number of doubles")
+
+    def test_f64_non_string_is_format_error(self):
+        payload = self._payload()
+        payload["active"]["departure"]["__f64__"] = [1.0, 2.0]
+        self._rejects(payload, match="base64 string")
+
+    @pytest.mark.parametrize(
+        "tag",
+        [
+            {"__fraction__": [1, 0]},
+            {"__fraction__": [1]},
+            {"__resources__": 5},
+            {"__resources__": ["a"]},
+        ],
+    )
+    def test_malformed_type_tag_is_format_error(self, tag):
+        payload = self._payload()
+        payload["capacity"] = tag
+        self._rejects(payload, match="malformed type tag")
+
+    def test_schema_2_row_layout_is_schema_error(self):
+        checkpoint = self._checkpoint()
+        payload = json.loads(checkpoint.to_json())
+        payload["bins"] = [dict(row) for row in checkpoint.bins]
+        payload["active"] = [dict(row) for row in checkpoint.active]
+        payload["schema_version"] = 2
+        with pytest.raises(CheckpointSchemaError) as excinfo:
+            StreamCheckpoint.from_json(json.dumps(payload))
+        assert excinfo.value.expected == CHECKPOINT_SCHEMA_VERSION == 3
+        assert excinfo.value.got == 2
+
+
+class TestExactTypeRoundTrip:
+    """Every cell comes back with the same value *and* the same ``type()``."""
+
+    def _hand_built(self, bins, active):
+        _, sink = _collect_checkpoints(FirstFit, n_items=120)
+        return replace(sink[0], bins=tuple(bins), active=tuple(active))
+
+    def test_mixed_int_float_column_stays_a_list(self):
+        checkpoint = self._hand_built(
+            [_bin_row(0, 0.5, opened_at=0)],
+            [
+                _item_row("a", 0, arrival=0, seq=0),
+                _item_row("b", 0, arrival=0.5, seq=1),
+            ],
+        )
+        payload = json.loads(checkpoint.to_json())
+        assert payload["active"]["arrival"] == [0, 0.5]
+        assert payload["bins"]["opened_at"] == [0]
+        back = _assert_exact_roundtrip(checkpoint)
+        assert type(back.active[0]["arrival"]) is int
+        assert type(back.active[1]["arrival"]) is float
+
+    def test_none_and_str_tags_and_labels(self):
+        checkpoint = self._hand_built(
+            [_bin_row(0, 0.25, label=None), _bin_row(1, 0.5, label="large")],
+            [
+                _item_row("a", 0, tag=None, seq=0),
+                _item_row("b", 1, tag="eu-west", seq=1),
+                _item_row("c", 1, tag=None, seq=2),
+            ],
+        )
+        back = _assert_exact_roundtrip(checkpoint)
+        assert [b["label"] for b in back.bins] == [None, "large"]
+        assert [a["tag"] for a in back.active] == [None, "eu-west", None]
+
+    def test_negative_zero_and_infinity_survive_packing(self):
+        checkpoint = self._hand_built(
+            [_bin_row(0, 0.5, opened_at=-0.0), _bin_row(1, 0.25, opened_at=3.0)],
+            [
+                _item_row("a", 0, departure=math.inf, seq=0),
+                _item_row("b", 1, departure=-0.0, seq=1),
+                _item_row("c", 0, departure=0.1 + 0.2, seq=2),
+            ],
+        )
+        payload = json.loads(checkpoint.to_json())
+        assert "__f64__" in payload["bins"]["opened_at"]
+        assert "__f64__" in payload["active"]["departure"]
+        back = _assert_exact_roundtrip(checkpoint)
+        assert math.copysign(1.0, back.bins[0]["opened_at"]) == -1.0
+        assert back.active[0]["departure"] == math.inf
+        assert back.active[2]["departure"] == 0.1 + 0.2
+
+    def test_fraction_sizes_and_levels(self):
+        items = [
+            Item(
+                arrival=Fraction(i, 3),
+                departure=Fraction(i, 3) + Fraction(7, 2),
+                size=Fraction(1 + (i % 3), 5),
+                item_id=f"q{i}",
+            )
+            for i in range(60)
+        ]
+        sink = []
+        simulate_stream(
+            iter(items),
+            FirstFit(),
+            capacity=Fraction(1),
+            checkpoint_every=25,
+            on_checkpoint=sink.append,
+        )
+        checkpoint = sink[-1]
+        assert checkpoint.active
+        back = _assert_exact_roundtrip(checkpoint)
+        for row in back.active:
+            assert type(row["size"]) is Fraction
+            assert type(row["departure"]) is Fraction
+        for row in back.bins:
+            assert type(row["level"]) is Fraction
+            assert type(row["capacity"]) is Fraction
+
+    def test_resources_sizes_capacities_and_levels(self):
+        items = [
+            Item(
+                arrival=float(i),
+                departure=float(i) + 6.5,
+                size=Resources(0.1 + 0.05 * (i % 5), 0.3 - 0.04 * (i % 4)),
+                item_id=f"v{i}",
+            )
+            for i in range(60)
+        ]
+        sink = []
+        simulate_stream(
+            iter(items),
+            BestFit(),
+            capacity=Resources(1, 1),
+            checkpoint_every=30,
+            on_checkpoint=sink.append,
+        )
+        checkpoint = sink[len(sink) // 2]
+        assert checkpoint.active
+        back = _assert_exact_roundtrip(checkpoint)
+        for row in back.active:
+            assert type(row["size"]) is Resources
+        for row in back.bins:
+            assert type(row["level"]) is Resources
+            assert type(row["capacity"]) is Resources

@@ -77,6 +77,40 @@ class TestServeMetrics:
                      "--serve-metrics"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "observe", [["--trace-out", "t.jsonl"], ["--metrics", "obs"], ["--profile"],
+                    ["--serve-metrics"]],
+    )
+    def test_dispatch_rejects_migration_factor_with_observe_flags(
+        self, tmp_path, capsys, observe
+    ):
+        # The observed path builds no repacker: the budget used to be
+        # dropped silently (different billed cost, no beta line).
+        trace = tmp_path / "day.json"
+        assert main(["generate", "--kind", "gaming", "--seed", "1",
+                     "--horizon", "60", "--out", str(trace)]) == 0
+        capsys.readouterr()
+        observe = [str(tmp_path / a) if a.endswith(("jsonl", "obs")) else a
+                   for a in observe]
+        code = main(["dispatch", str(trace), "--algorithm", "first-fit",
+                     "--migration-factor", "1", *observe])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--migration-factor cannot be combined" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "t.jsonl").exists()
+        assert not (tmp_path / "obs").exists()
+
+    def test_dispatch_migration_factor_alone_still_migrates(self, tmp_path, capsys):
+        trace = tmp_path / "day.json"
+        assert main(["generate", "--kind", "gaming", "--seed", "1",
+                     "--horizon", "60", "--out", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["dispatch", str(trace), "--algorithm", "first-fit",
+                     "--migration-factor", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "beta" in out and "migrations" in out
+
     def test_run_serves_fleet_aggregate(self, capsys):
         assert main(["run", "bounds-sandwich", "--serve-metrics"]) == 0
         out = capsys.readouterr().out
